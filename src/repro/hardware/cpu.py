@@ -28,6 +28,7 @@ class SimulatedCpu:
         self._activity = self.DRIVING_ACTIVITY
         self._freq_khz = spec.nominal_freq_khz
         self._energy_j = 0.0
+        self._update_power()
         clock.subscribe(self._on_advance)
 
     @property
@@ -45,6 +46,7 @@ class SimulatedCpu:
         if not 0.0 <= activity <= 1.0:
             raise ValueError(f"activity must be in [0, 1], got {activity!r}")
         self._activity = activity
+        self._update_power()
 
     @property
     def frequency_khz(self) -> int:
@@ -54,6 +56,7 @@ class SimulatedCpu:
     def set_frequency_khz(self, freq_khz: int) -> int:
         """Set the CPU clock (clamped to the supported range)."""
         self._freq_khz = self.spec.clamp_freq_khz(freq_khz)
+        self._update_power()
         return self._freq_khz
 
     @property
@@ -63,7 +66,12 @@ class SimulatedCpu:
 
     def power_w(self) -> float:
         """Instantaneous package power."""
-        return self.spec.power_w(self._activity, self._freq_khz)
+        return self._package_w
+
+    def _update_power(self) -> None:
+        # Package power is a pure function of (activity, clock): cached
+        # here so every clock advance does not recompute it.
+        self._package_w = self.spec.power_w(self._activity, self._freq_khz)
 
     @property
     def energy_j(self) -> float:
@@ -71,7 +79,7 @@ class SimulatedCpu:
         return self._energy_j
 
     def _on_advance(self, t0: float, t1: float) -> None:
-        self._energy_j += self.power_w() * (t1 - t0)
+        self._energy_j += self._package_w * (t1 - t0)
 
     # -- checkpoint ----------------------------------------------------------
 
@@ -86,6 +94,7 @@ class SimulatedCpu:
         self._activity = float(state["activity"])
         self._freq_khz = int(state["freq_khz"])
         self._energy_j = float(state["energy_j"])
+        self._update_power()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -19,8 +19,8 @@ Fig. 9 reproduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,17 +34,6 @@ from .specs import GpuSpec
 
 class GpuError(RuntimeError):
     """Raised on invalid device operations (bad clocks, re-entrancy...)."""
-
-
-@dataclass
-class _PowerState:
-    """Instantaneous power-relevant device state."""
-
-    busy: bool
-    clock_hz: float
-    intensity: float
-    voltage_margin_hz: float
-    kernel_name: Optional[str]
 
 
 class SimulatedGpu:
@@ -66,19 +55,19 @@ class SimulatedGpu:
         self._app_clock_hz: Optional[float] = spec.default_clock_hz
         self._memory_clock_hz: float = spec.memory_clock_hz
         self._temp_c = spec.thermal.ambient_c
-        self._state = _PowerState(
-            busy=False,
-            clock_hz=self.current_clock_hz,
-            intensity=0.0,
-            voltage_margin_hz=0.0,
-            kernel_name=None,
-        )
+        # Instantaneous power state: while ``_busy``, the board draws
+        # ``_busy_w`` (the executing slice's busy power).
+        self._busy = False
+        self._busy_w = 0.0
+        # Busy power by exact (clock, intensity, margin); clocks are
+        # quantized bins, so the cache stays small.
+        self._busy_power: Dict[Tuple[float, float, float], float] = {}
         self._energy_j = 0.0
         self._busy_seconds = 0.0
         self._kernel_records: Dict[str, KernelRecord] = {}
         self._clock_transitions = 0
         self._trace: Optional[List[Tuple[float, float]]] = None
-        self._busy_intervals: List[Tuple[float, float]] = []
+        self._busy_intervals: Deque[Tuple[float, float]] = deque()
         self._executing = False
         clock.subscribe(self._on_advance)
 
@@ -203,113 +192,79 @@ class SimulatedGpu:
             raise GpuError("device is already executing a kernel")
         self._executing = True
         try:
-            start = self._clock.now
-            record = self._kernel_records.setdefault(
-                kernel.name, KernelRecord(name=kernel.name)
-            )
-            if self.dvfs_active:
+            clock = self._clock
+            start = clock.now
+            record = self._kernel_records.get(kernel.name)
+            if record is None:
+                record = KernelRecord(name=kernel.name)
+                self._kernel_records[kernel.name] = record
+            # Clocks cannot change mid-kernel, so the mode holds for the
+            # whole launch.
+            governed = self._app_clock_hz is None
+            if governed:
                 self._governor.note_launch(kernel.power_intensity)
             if kernel.launch_overhead > 0.0:
                 # Host-side launch latency: device not yet busy.
-                self._set_idle_state()
-                self._clock.advance(kernel.launch_overhead)
+                self._busy = False
+                clock.advance(kernel.launch_overhead)
             energy_before = self._energy_j
-            if self.dvfs_active:
-                busy = self._execute_governed(kernel)
-            else:
-                busy = self._execute_pinned(kernel)
-            self._set_idle_state()
+            busy = self._execute_slices(kernel, governed)
+            self._busy = False
             record.launches += 1
             record.busy_seconds += busy
             record.energy_joules += self._energy_j - energy_before
             record.flops += kernel.flops
             record.bytes_moved += kernel.bytes_moved
-            return self._clock.now - start
+            return clock.now - start
         finally:
             self._executing = False
 
     #: Slice length for re-evaluating thermal caps during pinned kernels.
     THERMAL_SLICE_S = 0.25
 
-    def _execute_pinned(self, kernel: KernelLaunch) -> float:
+    def _execute_slices(self, kernel: KernelLaunch, governed: bool) -> float:
+        """Run ``kernel``'s work in slices; returns the busy seconds.
+
+        Under the governor a slice is one decision quantum, after which
+        the governor observes it and may move the clock. Pinned kernels
+        run in one slice unless the die is near the throttle limit,
+        where the thermal cap must be re-evaluated frequently.
+        """
+        name = kernel.name
+        intensity = kernel.power_intensity
         remaining_flops = kernel.flops
         remaining_bytes = kernel.bytes_moved
+        governor = self._governor
+        quantum = governor.quantum
+        margin_hz = governor.voltage_margin_hz if governed else 0.0
+        throttle_temp_c = self.spec.thermal.throttle_temp_c
+        clock = self._clock
         busy_total = 0.0
         while remaining_flops > 1e-9 or remaining_bytes > 1e-9:
-            clock_hz = self.current_clock_hz  # thermal cap applies
-            part = KernelLaunch(
-                name=kernel.name,
-                flops=remaining_flops,
-                bytes_moved=remaining_bytes,
-                power_intensity=kernel.power_intensity,
+            clock_hz = self.current_clock_hz  # governor/pin + thermal cap
+            compute, memory = self._perf.phase_seconds(
+                name, remaining_flops, remaining_bytes, clock_hz
             )
-            timing = self._perf.timing(part, clock_hz)
-            full = timing.compute_seconds + timing.memory_seconds
+            full = compute + memory
             if full <= 0.0:
                 break
-            # Full-slice execution unless the die is near the throttle
-            # limit, where the cap must be re-evaluated frequently.
-            near_limit = (
-                self._temp_c
-                > self.spec.thermal.throttle_temp_c - 3.0
-            )
-            dt = min(full, self.THERMAL_SLICE_S) if near_limit else full
+            if governed:
+                dt = min(full, quantum)
+            elif self._temp_c > throttle_temp_c - 3.0:
+                dt = min(full, self.THERMAL_SLICE_S)
+            else:
+                dt = full
             frac = dt / full
             remaining_flops *= 1.0 - frac
             remaining_bytes *= 1.0 - frac
-            self._state = _PowerState(
-                busy=True,
-                clock_hz=clock_hz,
-                intensity=kernel.power_intensity,
-                voltage_margin_hz=0.0,
-                kernel_name=kernel.name,
-            )
-            self._clock.advance(dt)
+            self._busy = True
+            self._busy_w = self._busy_power_w(clock_hz, intensity, margin_hz)
+            clock.advance(dt)
+            if governed:
+                governor.observe_busy(dt, intensity)
+                self._record_trace_point()
             busy_total += dt
         return busy_total
-
-    def _execute_governed(self, kernel: KernelLaunch) -> float:
-        remaining_flops = kernel.flops
-        remaining_bytes = kernel.bytes_moved
-        quantum = self._governor.quantum
-        busy_total = 0.0
-        while remaining_flops > 1e-9 or remaining_bytes > 1e-9:
-            clock_hz = self.current_clock_hz  # governor + thermal cap
-            part = KernelLaunch(
-                name=kernel.name,
-                flops=remaining_flops,
-                bytes_moved=remaining_bytes,
-                power_intensity=kernel.power_intensity,
-            )
-            timing = self._perf.timing(part, clock_hz)
-            full = timing.compute_seconds + timing.memory_seconds
-            if full <= 0.0:
-                break
-            dt = min(full, quantum)
-            frac = dt / full
-            remaining_flops *= 1.0 - frac
-            remaining_bytes *= 1.0 - frac
-            self._state = _PowerState(
-                busy=True,
-                clock_hz=clock_hz,
-                intensity=kernel.power_intensity,
-                voltage_margin_hz=self._governor.voltage_margin_hz,
-                kernel_name=kernel.name,
-            )
-            self._clock.advance(dt)
-            self._governor.observe_busy(dt, kernel.power_intensity)
-            self._record_trace_point()
-            busy_total += dt
-        return busy_total
-
-    def _set_idle_state(self) -> None:
-        self._state = _PowerState(
-            busy=False,
-            clock_hz=self.current_clock_hz,
-            intensity=0.0,
-            voltage_margin_hz=0.0,
-            kernel_name=None,
-        )
 
     # ------------------------------------------------------------------
     # Power / energy accounting
@@ -317,21 +272,27 @@ class SimulatedGpu:
 
     def power_w(self) -> float:
         """Instantaneous board power for the current state."""
-        s = self._state
-        if s.busy:
-            return self._power.busy_power_w(
-                s.clock_hz, s.intensity, s.voltage_margin_hz
-            )
-        if self.dvfs_active:
-            residency = self._governor.residency_intensity
+        if self._busy:
+            return self._busy_w
+        if self._app_clock_hz is None:
+            governor = self._governor
+            residency = governor.residency_intensity
             if residency > 0.0:
-                return self._power.busy_power_w(
-                    self._governor.clock_hz,
-                    residency,
-                    self._governor.voltage_margin_hz,
+                return self._busy_power_w(
+                    governor.clock_hz, residency, governor.voltage_margin_hz
                 )
-            return self._power.idle_power_w(self._governor.clock_hz)
+            return self._power.idle_power_w(governor.clock_hz)
         return self._power.idle_power_w(self.current_clock_hz)
+
+    def _busy_power_w(
+        self, clock_hz: float, intensity: float, margin_hz: float
+    ) -> float:
+        key = (clock_hz, intensity, margin_hz)
+        power = self._busy_power.get(key)
+        if power is None:
+            power = self._power.busy_power_w(clock_hz, intensity, margin_hz)
+            self._busy_power[key] = power
+        return power
 
     def _on_advance(self, t0: float, t1: float) -> None:
         dt = t1 - t0
@@ -343,10 +304,10 @@ class SimulatedGpu:
         t_ss = thermal.steady_state_c(power)
         decay = math.exp(-dt / thermal.tau_s)
         self._temp_c = t_ss + (self._temp_c - t_ss) * decay
-        if self._state.busy:
+        if self._busy:
             self._busy_seconds += dt
             self._busy_intervals.append((t0, t1))
-        elif self.dvfs_active and not self._executing:
+        elif self._app_clock_hz is None and not self._executing:
             # External idle time (host phases, MPI waits): the governor
             # observes it and decays its clock (Fig. 9 end-of-step dips).
             self._governor.observe_idle(dt)
@@ -380,9 +341,10 @@ class SimulatedGpu:
         lo = now - window_s
         busy = 0.0
         # Prune intervals that fell out of every plausible window.
-        while self._busy_intervals and self._busy_intervals[0][1] < now - 10.0 * window_s:
-            self._busy_intervals.pop(0)
-        for a, b in self._busy_intervals:
+        intervals = self._busy_intervals
+        while intervals and intervals[0][1] < now - 10.0 * window_s:
+            intervals.popleft()
+        for a, b in intervals:
             if b <= lo:
                 continue
             busy += b - max(a, lo)
@@ -396,9 +358,8 @@ class SimulatedGpu:
     def state_dict(self) -> dict:
         """Checkpointable device state (valid at kernel boundaries only).
 
-        The instantaneous ``_PowerState`` is not stored: at a step
-        boundary the device is idle, so restore rebuilds it via
-        :meth:`_set_idle_state`. The Fig. 9 frequency trace is a debug
+        The instantaneous busy state is not stored: at a step boundary
+        the device is idle, so restore leaves it idle. The Fig. 9 frequency trace is a debug
         aid and deliberately not checkpointed. Busy intervals older
         than every plausible utilization window are pruned, mirroring
         what :meth:`utilization` would discard anyway.
@@ -442,11 +403,11 @@ class SimulatedGpu:
         self._energy_j = float(state["energy_j"])
         self._busy_seconds = float(state["busy_seconds"])
         self._clock_transitions = int(state["clock_transitions"])
-        self._busy_intervals = [
+        self._busy_intervals = deque(
             (float(a), float(b)) for a, b in np.asarray(
                 state["busy_intervals"]
             ).reshape(-1, 2)
-        ]
+        )
         self._governor.restore_state(state["governor"])
         self._kernel_records = {}
         for name, rec in state["kernel_records"].items():
@@ -457,7 +418,7 @@ class SimulatedGpu:
             record.flops = float(rec["flops"])
             record.bytes_moved = float(rec["bytes_moved"])
             self._kernel_records[name] = record
-        self._set_idle_state()
+        self._busy = False
 
     # ------------------------------------------------------------------
     # Frequency tracing (Fig. 9)

@@ -17,6 +17,7 @@ lightweight kernels barely notice (Fig. 8a).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from .kernel import KernelLaunch
 from .specs import GpuSpec
@@ -53,18 +54,27 @@ class GpuPerfModel:
     def spec(self) -> GpuSpec:
         return self._spec
 
-    def timing(self, kernel: KernelLaunch, clock_hz: float) -> KernelTiming:
-        """Duration breakdown of ``kernel`` at graphics clock ``clock_hz``."""
+    def phase_seconds(
+        self, name: str, flops: float, bytes_moved: float, clock_hz: float
+    ) -> Tuple[float, float]:
+        """``(compute, memory)`` seconds of work at ``clock_hz``.
+
+        The roofline itself, on plain scalars: the device's per-launch
+        hot path calls it once per execution slice.
+        """
         spec = self._spec
         if clock_hz <= 0.0:
             raise ValueError(f"clock must be positive, got {clock_hz!r}")
-        eff = spec.kernel_efficiency(kernel.name)
+        eff = spec.kernel_efficiency(name)
         throughput = spec.fp_throughput * eff * (clock_hz / spec.max_clock_hz)
-        compute = kernel.flops / throughput if kernel.flops > 0.0 else 0.0
-        memory = (
-            kernel.bytes_moved / spec.mem_bandwidth
-            if kernel.bytes_moved > 0.0
-            else 0.0
+        compute = flops / throughput if flops > 0.0 else 0.0
+        memory = bytes_moved / spec.mem_bandwidth if bytes_moved > 0.0 else 0.0
+        return compute, memory
+
+    def timing(self, kernel: KernelLaunch, clock_hz: float) -> KernelTiming:
+        """Duration breakdown of ``kernel`` at graphics clock ``clock_hz``."""
+        compute, memory = self.phase_seconds(
+            kernel.name, kernel.flops, kernel.bytes_moved, clock_hz
         )
         return KernelTiming(
             compute_seconds=compute,

@@ -258,16 +258,15 @@ class WorkloadModel:
             MIN_INTENSITY_FRACTION + (1.0 - MIN_INTENSITY_FRACTION) * u
         )
         per_launch = 1.0 / cost.launches
-        return [
-            KernelLaunch(
-                name=function,
-                flops=flops * per_launch,
-                bytes_moved=nbytes * per_launch,
-                power_intensity=min(intensity, 1.0),
-                launch_overhead=cost.launch_overhead_s,
-            )
-            for _ in range(cost.launches)
-        ]
+        # Launches are frozen, so the N identical ones share one object.
+        launch = KernelLaunch(
+            name=function,
+            flops=flops * per_launch,
+            bytes_moved=nbytes * per_launch,
+            power_intensity=min(intensity, 1.0),
+            launch_overhead=cost.launch_overhead_s,
+        )
+        return [launch] * cost.launches
 
     def with_neighbors(self, mean_neighbors: float) -> "WorkloadModel":
         """Copy with an updated neighbor count (numeric-mode feedback)."""

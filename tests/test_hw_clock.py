@@ -95,6 +95,75 @@ def test_reentrant_advance_rejected():
         clk.advance(1.0)
 
 
+def test_listener_unsubscribing_itself_mid_advance_still_sees_that_advance():
+    clk = VirtualClock()
+    calls = []
+
+    def once(t0, t1):
+        calls.append(("once", t1))
+        clk.unsubscribe(once)
+
+    clk.subscribe(once)
+    clk.subscribe(lambda t0, t1: calls.append(("other", t1)))
+    clk.advance(1.0)
+    # Everyone subscribed when the advance began is notified, in order.
+    assert calls == [("once", 1.0), ("other", 1.0)]
+    clk.advance(1.0)
+    assert calls[2:] == [("other", 2.0)]
+
+
+def test_listener_unsubscribing_a_later_one_mid_advance():
+    clk = VirtualClock()
+    calls = []
+
+    def later(t0, t1):
+        calls.append(("later", t1))
+
+    clk.subscribe(lambda t0, t1: clk.unsubscribe(later) if t1 == 1.0 else None)
+    clk.subscribe(later)
+    clk.advance(1.0)
+    # The removal takes effect from the next advance, not this one.
+    assert calls == [("later", 1.0)]
+    clk.advance(1.0)
+    assert calls == [("later", 1.0)]
+
+
+def test_listener_subscribing_another_mid_advance_takes_effect_next_advance():
+    clk = VirtualClock()
+    calls = []
+
+    def late(t0, t1):
+        calls.append(("late", t1))
+
+    def subscriber(t0, t1):
+        calls.append(("subscriber", t1))
+        if t1 == 1.0:
+            clk.subscribe(late)
+
+    clk.subscribe(subscriber)
+    clk.advance(1.0)
+    assert calls == [("subscriber", 1.0)]
+    clk.advance(1.0)
+    assert calls[1:] == [("subscriber", 2.0), ("late", 2.0)]
+
+
+def test_reentrant_advance_still_rejected_after_resubscription():
+    clk = VirtualClock()
+
+    def reenter(t0, t1):
+        clk.advance(1.0)
+
+    clk.subscribe(reenter)
+    clk.unsubscribe(reenter)
+    clk.subscribe(reenter)
+    with pytest.raises(ClockError):
+        clk.advance(1.0)
+    # The failed advance neither moved time nor wedged the clock.
+    assert clk.now == 0.0
+    clk.unsubscribe(reenter)
+    assert clk.advance(1.0) == 1.0
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=50))
 def test_clock_is_monotone_under_any_advance_sequence(dts):
     clk = VirtualClock()

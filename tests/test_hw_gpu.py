@@ -1,5 +1,8 @@
 """SimulatedGpu: execution, energy integration, clocks, tracing."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.hardware import (
@@ -143,3 +146,49 @@ def test_two_gpus_on_one_clock_both_integrate():
     assert g2.energy_j > 0
     assert g2.busy_seconds == 0.0
     assert g1.busy_seconds > 0
+
+
+def test_utilization_and_busy_interval_checkpoint_are_pinned():
+    """Exact utilization values and checkpoint bytes of a long sequence.
+
+    Recorded before the interval store became a deque; pruning with
+    ``popleft`` must return the same values and checkpoint the same
+    ``(n, 2)`` float64 array, and a restored device must agree.
+    """
+    gpu = SimulatedGpu(a100_sxm4_80gb(), VirtualClock())
+    k = KernelLaunch("MomentumEnergy", 2e10, 1e9, 1.0, launch_overhead=1e-3)
+    values = []
+    for i in range(400):
+        gpu.execute(k)
+        if i % 7 == 0:
+            gpu.clock.advance(0.013)
+        if i % 50 == 49:
+            values.append(gpu.utilization(window_s=0.05))
+            values.append(gpu.utilization(window_s=0.2))
+    assert values == [
+        0.358659793814432, 0.4483247422680401,
+        0.4098969072165026, 0.4611340206185577,
+        0.46113402061856545, 0.47394329896908116,
+        0.5123711340206061, 0.48675257731958743,
+        0.5400000000000249, 0.4867525773195758,
+        0.5400000000000249, 0.4867525773195758,
+        0.5400000000000249, 0.4867525773195758,
+        0.35865979381445534, 0.44832474226806585,
+    ]
+    # Intervals older than 10 windows were pruned as the run went on.
+    assert len(gpu._busy_intervals) == 91
+
+    state = gpu.state_dict()
+    intervals = state["busy_intervals"]
+    assert isinstance(intervals, np.ndarray)
+    assert intervals.dtype == np.float64 and intervals.shape == (91, 2)
+    assert hashlib.sha256(intervals.tobytes()).hexdigest() == (
+        "7d1fc5b60d681f7795f6da9ee3bbebc7f42aac2a37f4f57565e524db1a595fe8"
+    )
+
+    restored = SimulatedGpu(a100_sxm4_80gb(), VirtualClock())
+    restored.clock.restore_state(gpu.clock.state_dict())
+    restored.restore_state(state)
+    assert restored.utilization(0.05) == 0.35865979381445534
+    assert restored.utilization(1.0) == 0.23312886597938287
+    assert len(restored._busy_intervals) == 91
