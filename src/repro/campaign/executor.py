@@ -125,7 +125,8 @@ class ExecutorConfig:
     #: Execute at most this many missing units (smoke tests, previews).
     max_units: Optional[int] = None
     #: Declare a worker lane dead after this many seconds without a
-    #: beat (``None`` disables supervision). Dead lanes get a SIGTERM
+    #: beat (``None`` disables supervision, and with it the workers'
+    #: per-step lane beat files). Dead lanes get a SIGTERM
     #: (best effort), lose their in-flight unit to the transient-retry
     #: path, and release their claim.
     lane_dead_after_s: Optional[float] = None
@@ -228,6 +229,7 @@ class CampaignExecutor:
         )
         self._t0 = 0.0
         self._heartbeats: Dict[str, Dict[str, Any]] = {}
+        self._heartbeats_dirty = False
         self._claimed: Set[str] = set()
 
     # -- progress events -----------------------------------------------------
@@ -279,26 +281,39 @@ class CampaignExecutor:
     # -- worker heartbeats ---------------------------------------------------
 
     def _beat(self, lane: int, state: str, unit: str = "") -> None:
-        """Record lane liveness: gauge + atomic ``heartbeats.json``.
+        """Record lane liveness in memory (gauge + lane map).
 
-        ``repro monitor watch`` reads the file and fires the
-        ``campaign_worker_stalled`` rule on lanes whose heartbeat goes
-        stale while not ``idle``. Heartbeat persistence must never take
-        a campaign down, so disk errors are swallowed.
+        The map reaches ``heartbeats.json`` at the next
+        :meth:`_flush_heartbeats`, once per dispatch pass rather than
+        once per state change.
         """
         now = time.time()
         record: Dict[str, Any] = {"updated_s": now, "state": state}
         if unit:
             record["unit"] = unit
         self._heartbeats[str(lane)] = record
+        self._heartbeats_dirty = True
         if self.telemetry is not None:
             self.telemetry.metrics.gauge(
                 "campaign_worker_heartbeat", lane=lane
             ).set(now)
+
+    def _flush_heartbeats(self) -> None:
+        """Persist the lane map to ``heartbeats.json`` if it changed.
+
+        ``repro monitor watch`` reads the file and fires the
+        ``campaign_worker_stalled`` rule on lanes whose heartbeat goes
+        stale while not ``idle``. Heartbeat persistence must never take
+        a campaign down, so disk errors are swallowed (and the write is
+        retried at the next flush).
+        """
+        if not self._heartbeats_dirty:
+            return
         try:
             self.store.write_heartbeats(self._heartbeats)
         except OSError:  # pragma: no cover - disk-full / perms only
-            pass
+            return
+        self._heartbeats_dirty = False
 
     # -- worker dispatch -------------------------------------------------------
 
@@ -307,7 +322,10 @@ class CampaignExecutor:
             return None
         return str(self.store.checkpoint_path(unit.key))
 
-    def _beat_path(self, lane: int) -> str:
+    def _beat_path(self, lane: int) -> Optional[str]:
+        """The lane's beat file — only when supervision reads beats."""
+        if self.config.lane_dead_after_s is None:
+            return None
         return str(self.store.lane_beat_path(lane))
 
     def _trace_for(self, unit: RunUnit):
@@ -392,6 +410,7 @@ class CampaignExecutor:
                 while True:
                     t_start = self._now()
                     self._beat(0, "running", unit=unit.label)
+                    self._flush_heartbeats()
                     self._notify("unit-start", unit, attempts=attempts)
                     trace, trace_dir = self._trace_for(unit)
                     outcome = run_unit_safe(
@@ -510,6 +529,7 @@ class CampaignExecutor:
                     in_flight[future] = (
                         unit, attempts, self._now(), lane, time.time()
                     )
+                self._flush_heartbeats()
                 finished, _ = wait(
                     list(in_flight),
                     timeout=self._poll_interval(),
@@ -733,6 +753,7 @@ class CampaignExecutor:
         # age into a phantom stall.
         for lane in list(self._heartbeats):
             self._beat(int(lane), "idle")
+        self._flush_heartbeats()
         status.wall_s = time.perf_counter() - self._t0
         self._emit_span(
             "campaign", 0, 0.0, status.wall_s,

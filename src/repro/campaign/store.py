@@ -55,7 +55,9 @@ class RunStore:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / RUNS_DIR).mkdir(exist_ok=True)
         self.campaign = campaign
-        self._records: List[Dict[str, Any]] = []
+        #: Latest manifest status per key (``done`` | ``failed``) — the
+        #: only thing queries need from the replayed records.
+        self._statuses: Dict[str, str] = {}
         # One store instance may be shared by concurrent executors (the
         # service runs overlapping campaigns against the same tenant
         # store); appends and snapshot reads are serialized here.
@@ -154,7 +156,9 @@ class RunStore:
         ``lanes`` maps worker-lane ids to ``{"updated_s": <epoch>,
         "state": ...}`` records; ``repro monitor watch`` reads this file
         to judge the ``campaign_worker_stalled`` alert rule. Written
-        atomically so a watcher never observes a torn file.
+        atomically (temp + rename) so a watcher never observes a torn
+        file, but not fsync'd: liveness only matters to live readers,
+        and every drain deletes the file before it starts.
         """
         payload = {
             "schema": 1,
@@ -165,10 +169,7 @@ class RunStore:
         path = self.heartbeats_path
         tmp = path.with_suffix(".json.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+            fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         os.replace(tmp, path)
 
     def read_heartbeats(self) -> Dict[str, Dict[str, Any]]:
@@ -296,7 +297,7 @@ class RunStore:
                     )
                 header_seen = True
                 continue
-            self._records.append(record)
+            self._statuses[record["key"]] = record.get("status", "failed")
 
     def _append_manifest(self, record: Mapping[str, Any]) -> None:
         path = self.manifest_path
@@ -311,7 +312,7 @@ class RunStore:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
-            self._records.append(dict(record))
+            self._statuses[record["key"]] = record.get("status", "failed")
 
     # -- outcomes ------------------------------------------------------------
 
@@ -329,8 +330,7 @@ class RunStore:
         path = self.run_path(key)
         tmp = path.with_suffix(".json.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -360,11 +360,7 @@ class RunStore:
 
     def _latest_statuses(self) -> Dict[str, str]:
         with self._lock:
-            records = list(self._records)
-        latest: Dict[str, str] = {}
-        for record in records:
-            latest[record["key"]] = record.get("status", "failed")
-        return latest
+            return dict(self._statuses)
 
     def completed_keys(self) -> Set[str]:
         """Keys whose latest outcome is ``done`` and whose artifact exists."""

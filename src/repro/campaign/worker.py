@@ -137,8 +137,7 @@ def _write_beat(path: str, payload: Mapping[str, Any]) -> None:
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(dict(payload), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(dict(payload), sort_keys=True) + "\n")
         os.replace(tmp, path)
     except OSError:  # pragma: no cover - disk-full / perms only
         pass
@@ -314,7 +313,8 @@ def run_unit_safe(
     ``checkpoint_path``/``checkpoint_every`` enable crash-tolerant
     execution (see :func:`execute_unit`); ``beat_path`` names the lane
     beat file this worker refreshes after every simulation step so the
-    executor's supervision can tell slow from dead. ``trace``/
+    executor's supervision can tell slow from dead (``None`` — no
+    supervision — writes no beats at all). ``trace``/
     ``trace_dir`` enable distributed tracing (see :func:`execute_unit`).
     """
     t0 = time.perf_counter()

@@ -165,14 +165,19 @@ class CampaignJob:
         executor_config: Optional[ExecutorConfig] = None,
         adopt: Optional[Callable[[RunStore, List[str]], List[str]]] = None,
         publish: Optional[Callable[[RunStore, List[str]], int]] = None,
+        on_drained: Optional[Callable[[CampaignRunStatus], None]] = None,
     ) -> None:
         """Drain the campaign (worker thread); never raises.
 
         ``adopt``/``publish`` are the tenancy layer's shared-cache
-        read-through and write-through hooks. Even a ``BaseException``
-        (worker-thread interrupt, interpreter shutdown) leaves the job
-        in a terminal state with its event bus closed — subscribers
-        and WAL replay must never see a job wedged in ``running``.
+        read-through and write-through hooks. ``on_drained`` receives
+        the executor's status as soon as the drain returns — before the
+        terminal transition, so accounting done there is complete by
+        the time anyone can observe ``done``/``cancelled``. Even a
+        ``BaseException`` (worker-thread interrupt, interpreter
+        shutdown) leaves the job in a terminal state with its event bus
+        closed — subscribers and WAL replay must never see a job wedged
+        in ``running``.
         """
         self._transition(RUNNING)
         self.started_s = time.time()
@@ -203,6 +208,8 @@ class CampaignJob:
                 checkpoint_every=self.spec.checkpoint_every,
             )
             self.status = executor.run(self.units)
+            if on_drained is not None:
+                on_drained(self.status)
             try:
                 write_trace_jsonl(
                     str(self.store.trace_path),

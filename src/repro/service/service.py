@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..campaign import (
+    CampaignRunStatus,
     CampaignSpec,
     ExecutorConfig,
     InFlightRegistry,
@@ -86,6 +88,9 @@ class CampaignService:
             config.root, shared_cache=config.shared_cache
         )
         self.metrics = MetricsRegistry()
+        # Job worker threads count drain outcomes while the event loop
+        # counts requests and renders /metrics: one lock for all three.
+        self._metrics_lock = threading.Lock()
         self.inflight = InFlightRegistry()
         self.jobs: Dict[str, CampaignJob] = {}
         self.started_s = time.time()
@@ -285,16 +290,21 @@ class CampaignService:
             self.config.executor,
             self.stores.adopt_shared,
             self.stores.publish_shared,
+            self._count_drain,
         )
-        status = job.status
-        if status is not None:
-            self._count("service_units_executed", status.executed)
-            self._count("service_units_failed", status.failed)
-            # Adopted units are a subset of the skipped ones (the
-            # executor sees them as already completed), so don't add
-            # them twice.
-            hits = status.skipped + status.attached
-            self._count("service_unit_cache_hits", hits)
+
+    def _count_drain(self, status: CampaignRunStatus) -> None:
+        """Roll one drain's outcome into the service counters.
+
+        Runs in the job's worker thread *before* the terminal
+        transition, so whoever observes a finished job also observes
+        its final counts.
+        """
+        self._count("service_units_executed", status.executed)
+        self._count("service_units_failed", status.failed)
+        # Adopted units are a subset of the skipped ones (the executor
+        # sees them as already completed), so don't add them twice.
+        self._count("service_unit_cache_hits", status.skipped + status.attached)
 
     # -- queries -------------------------------------------------------------
 
@@ -380,13 +390,15 @@ class CampaignService:
 
     def metrics_text(self) -> str:
         stats = self.scheduler.stats()
-        self.metrics.gauge("service_jobs_running").set(stats["running"])
-        self.metrics.gauge("service_jobs_queued").set(stats["queued"])
-        self.metrics.gauge(
-            "service_uptime_s"
-        ).set(time.time() - self.started_s)
-        return render_prometheus(self.metrics)
+        with self._metrics_lock:
+            self.metrics.gauge("service_jobs_running").set(stats["running"])
+            self.metrics.gauge("service_jobs_queued").set(stats["queued"])
+            self.metrics.gauge(
+                "service_uptime_s"
+            ).set(time.time() - self.started_s)
+            return render_prometheus(self.metrics)
 
     def _count(self, name: str, amount: float = 1.0) -> None:
         if amount:
-            self.metrics.counter(name).inc(amount)
+            with self._metrics_lock:
+                self.metrics.counter(name).inc(amount)

@@ -6,6 +6,8 @@ missing units, and the final aggregate report is **byte-identical** to
 the report of an uninterrupted campaign.
 """
 
+import os
+
 import pytest
 
 from repro.campaign import (
@@ -20,6 +22,7 @@ from repro.campaign import (
     summary_json,
 )
 from repro.campaign import executor as executor_mod
+from repro.campaign import worker as worker_mod
 from repro.faults import JobPreempted
 from repro.nvml.errors import (
     NVML_ERROR_GPU_IS_LOST,
@@ -351,6 +354,85 @@ def test_heartbeat_write_failure_does_not_kill_campaign(tmp_path, monkeypatch):
     monkeypatch.setattr(RunStore, "write_heartbeats", boom)
     status, store = run_campaign(spec, str(tmp_path / "c"))
     assert status.complete  # monitoring is best-effort, runs are not
+
+
+def test_pool_writes_heartbeats_once_per_dispatch_pass(tmp_path, monkeypatch):
+    # The lane map reaches disk once per dispatch pass, not once per
+    # lane state change (which was two writes per unit).
+    spec = _spec()
+    n_units = len(spec.expand())
+    writes = []
+    original = RunStore.write_heartbeats
+
+    def counting(self, lanes):
+        writes.append({k: dict(v) for k, v in lanes.items()})
+        original(self, lanes)
+
+    monkeypatch.setattr(RunStore, "write_heartbeats", counting)
+    status, store = run_campaign(
+        spec, str(tmp_path / "c"), ExecutorConfig(workers=2)
+    )
+    assert status.executed == n_units
+    assert 0 < len(writes) < 2 * n_units
+    assert any(r["state"] == "running" for r in writes[0].values())
+    assert writes[-1] == store.read_heartbeats()
+    assert set(writes[-1]) == {"0", "1"}
+    assert all(r["state"] == "idle" for r in writes[-1].values())
+
+
+# ---------------------------------------------------------------------------
+# lane beat files (consumed only by lane supervision)
+# ---------------------------------------------------------------------------
+
+
+def test_unsupervised_pool_drain_writes_no_lane_beats(tmp_path):
+    spec = _spec()
+    status, store = run_campaign(
+        spec, str(tmp_path / "c"), ExecutorConfig(workers=2)
+    )
+    assert status.complete
+    assert store.read_lane_beats() == {}
+    assert not (store.root / "lanes").exists()
+
+
+def test_supervised_pool_drain_leaves_worker_beats(tmp_path):
+    spec = _spec()
+    status, store = run_campaign(
+        spec,
+        str(tmp_path / "c"),
+        ExecutorConfig(workers=2, lane_dead_after_s=60.0),
+    )
+    assert status.complete and status.lanes_reaped == 0
+    beats = store.read_lane_beats()
+    assert set(beats) == {"0", "1"}
+    keys = {unit.key for unit in spec.expand()}
+    for beat in beats.values():
+        assert beat["pid"] != os.getpid()  # written by the worker
+        assert beat["key"] in keys
+        assert beat["step"] == spec.steps  # last beat: the last step
+        assert beat["updated_s"] > 0
+
+
+def test_supervised_drain_beats_after_every_step(tmp_path, monkeypatch):
+    # Inline, the worker runs in this process, so every beat is seen.
+    spec = _spec(steps=3)
+    beats = []
+    original = worker_mod._write_beat
+
+    def recording(path, payload):
+        beats.append(dict(payload))
+        original(path, payload)
+
+    monkeypatch.setattr(worker_mod, "_write_beat", recording)
+    _, store = run_campaign(
+        spec, str(tmp_path / "c"), ExecutorConfig(lane_dead_after_s=60.0)
+    )
+    keys = [unit.key for unit in spec.expand()]
+    assert [(b["key"], b["step"]) for b in beats] == [
+        (key, step) for key in keys for step in range(1, spec.steps + 1)
+    ]
+    assert {b["pid"] for b in beats} == {os.getpid()}
+    assert store.read_lane_beats() == {"0": beats[-1]}
 
 
 # ---------------------------------------------------------------------------

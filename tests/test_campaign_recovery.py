@@ -233,9 +233,12 @@ def test_sigkilled_worker_resumes_from_checkpoint(tmp_path):
     the retry restores the on-disk checkpoint instead of step 0."""
     spec = _spec(steps=400, checkpoint_every=25)
     store = RunStore(str(tmp_path), campaign=spec.name)
+    # Lane beats exist only under supervision, and they are how this
+    # test finds the worker pid: a deadline far beyond the run keeps
+    # the reaper out of the way.
     executor = CampaignExecutor(
         store,
-        config=ExecutorConfig(workers=2),
+        config=ExecutorConfig(workers=2, lane_dead_after_s=60.0),
         checkpoint_every=spec.checkpoint_every,
     )
 

@@ -7,6 +7,8 @@ plain stream connection — the same wire a curl/urllib client sees.
 
 import asyncio
 import json
+import sys
+import threading
 
 import pytest
 
@@ -276,6 +278,83 @@ def test_resubmit_completed_campaign_never_recomputes(tmp_path):
         ) == executed_before
 
     run_scenario(tmp_path, scenario)
+
+
+def test_unit_counters_are_final_when_job_turns_terminal(tmp_path):
+    # Snapshot the counters inside the journal hook, i.e. at the exact
+    # moment each job turns terminal: a poller that sees ``done`` must
+    # never see a count still missing.
+    doc = spec_doc(policies=[{"kind": "baseline"}, {"kind": "dvfs"}])
+    seen = []
+
+    def counters(service):
+        return {
+            name: service.metrics.counter_total(name)
+            for name in (
+                "service_units_executed",
+                "service_units_failed",
+                "service_unit_cache_hits",
+            )
+        }
+
+    async def scenario(service, server):
+        journal = service._journal_transition
+
+        def snapshot(job):
+            if job.terminal:
+                seen.append((job.tenant, job.state, counters(service)))
+            journal(job)
+
+        service._journal_transition = snapshot
+        for tenant in ("alice", "bob"):  # bob's units come from the cache
+            _, _, sub = await request_json(
+                server, "POST", "/campaigns", body=doc, tenant=tenant
+            )
+            await poll_until_terminal(server, sub["id"], tenant=tenant)
+
+    run_scenario(tmp_path, scenario)
+    assert seen == [
+        ("alice", "done", {
+            "service_units_executed": 2,
+            "service_units_failed": 0,
+            "service_unit_cache_hits": 0,
+        }),
+        ("bob", "done", {
+            "service_units_executed": 2,
+            "service_units_failed": 0,
+            "service_unit_cache_hits": 2,
+        }),
+    ]
+
+
+def test_service_counters_survive_concurrent_increments(tmp_path):
+    # Job worker threads and the event loop bump the same counters. Each
+    # name is fresh, so threads also race to create its counter: an
+    # unlocked check-then-create or read-modify-write loses updates.
+    service = CampaignService(ServiceConfig(root=str(tmp_path)))
+    n_threads, n_names = 8, 5_000
+    names = [f"stress_{i}" for i in range(n_names)]
+
+    def bump():
+        for name in names:
+            service._count(name)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=bump) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    totals = {
+        name: counter.value
+        for name, _, counter in service.metrics.iter_counters()
+    }
+    assert totals == dict.fromkeys(names, n_threads)
 
 
 def test_report_before_any_completed_run_is_409(tmp_path):
