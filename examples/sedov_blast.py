@@ -7,7 +7,7 @@ shock radius is compared against R(t) = xi_0 (E t^2 / rho_0)^(1/5)
 while the instrumented energy measurement runs as usual.
 
     python examples/sedov_blast.py [nside] [steps] [--skin S]
-        [--ranks N] [--comm-backend local|process]
+        [--ranks N]
 """
 
 import argparse
@@ -43,14 +43,6 @@ def main() -> None:
         default=1,
         help="simulated MPI ranks (default %(default)s)",
     )
-    parser.add_argument(
-        "--comm-backend",
-        choices=("local", "process"),
-        default="local",
-        dest="comm_backend",
-        help="rank execution backend; 'process' runs one OS process "
-        "per rank with identical results (default %(default)s)",
-    )
     args = parser.parse_args()
     nside, steps = args.nside, args.steps
 
@@ -62,9 +54,7 @@ def main() -> None:
     )
     e0 = particles.internal_energy()
 
-    cluster = Cluster(
-        mini_hpc(), n_ranks=args.ranks, comm_backend=args.comm_backend
-    )
+    cluster = Cluster(mini_hpc(), n_ranks=args.ranks)
     try:
         problem = NumericProblem(
             particles=particles,

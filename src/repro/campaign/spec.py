@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -115,7 +114,6 @@ class RunUnit:
     seed: int
     policy: Tuple[Tuple[str, Any], ...]
     fault_scenario: Optional[str] = None
-    comm_backend: str = "local"
 
     def policy_dict(self) -> Dict[str, Any]:
         return {k: _thaw_value(v) for k, v in self.policy}
@@ -134,11 +132,6 @@ class RunUnit:
         }
         if self.fault_scenario is not None:
             cfg["fault_scenario"] = self.fault_scenario
-        # Only a non-default backend enters the config: backends are
-        # bit-identical in every result, so pre-existing run keys (and
-        # cached local-backend results) stay valid.
-        if self.comm_backend != "local":
-            cfg["comm_backend"] = self.comm_backend
         return cfg
 
     @property
@@ -222,12 +215,6 @@ class CampaignSpec:
         from its latest checkpoint on retry instead of step 0.
         Execution-only: crash tolerance does not change what a unit
         computes, so it does not enter run keys.
-    comm_backend:
-        Rank execution backend for every unit: ``"local"`` (default,
-        sequential in-process ranks) or ``"process"`` (one OS process
-        per rank, see docs/parallelism.md). Backends are bit-identical
-        in every virtual result, so only a non-default value enters run
-        keys — existing cached results stay valid.
     """
 
     name: str
@@ -242,7 +229,6 @@ class CampaignSpec:
     fault_scenario: Optional[str] = None
     min_unit_wall_s: float = 0.0
     checkpoint_every: int = 0
-    comm_backend: str = "local"
     _canonical_policies: Tuple[Dict[str, Any], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
@@ -258,11 +244,6 @@ class CampaignSpec:
             raise ValueError("min_unit_wall_s must be non-negative")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.comm_backend not in ("local", "process"):
-            raise ValueError(
-                f"unknown comm backend {self.comm_backend!r} "
-                "(expected local|process)"
-            )
         if not self.workloads:
             raise ValueError("campaign needs at least one workload")
         if not self.policies:
@@ -333,7 +314,7 @@ class CampaignSpec:
         known = {
             "name", "workloads", "policies", "clocks_mhz", "systems",
             "particles", "steps", "ranks", "seeds", "fault_scenario",
-            "min_unit_wall_s", "checkpoint_every", "comm_backend",
+            "min_unit_wall_s", "checkpoint_every",
         }
         unknown = set(data) - known
         if unknown:
@@ -372,8 +353,6 @@ class CampaignSpec:
             payload["min_unit_wall_s"] = self.min_unit_wall_s
         if self.checkpoint_every:
             payload["checkpoint_every"] = int(self.checkpoint_every)
-        if self.comm_backend != "local":
-            payload["comm_backend"] = self.comm_backend
         return payload
 
     def save(self, path: str) -> None:
@@ -418,7 +397,6 @@ class CampaignSpec:
                                     seed=int(seed),
                                     policy=_freeze_policy(policy),
                                     fault_scenario=self.fault_scenario,
-                                    comm_backend=self.comm_backend,
                                 )
                             )
         keys = [u.key for u in units]
@@ -434,23 +412,3 @@ class CampaignSpec:
 
     def n_units(self) -> int:
         return len(self.expand())
-
-    def check_oversubscription(self, workers: int) -> Optional[str]:
-        """Warn-worthy message when ``workers x ranks`` exceeds the
-        host's cores for a process-backend campaign, else ``None``.
-
-        The executor (and the CLI) call this before a drain; with the
-        ``process`` backend every lane forks ``ranks`` rank workers, so
-        the true process footprint is the product.
-        """
-        if self.comm_backend != "process" or workers < 1:
-            return None
-        cores = os.cpu_count() or 1
-        if workers * self.ranks <= cores:
-            return None
-        return (
-            f"{workers} workers x {self.ranks} ranks = "
-            f"{workers * self.ranks} rank processes oversubscribe "
-            f"{cores} host cores; consider --workers "
-            f"{max(1, cores // self.ranks)}"
-        )

@@ -33,7 +33,6 @@ from ..core import (
     baseline_policy,
 )
 from ..faults import FaultInjector, JobPreempted, build_plan
-from ..mpi import RankDied
 from ..nvml.errors import NVMLError
 from ..pmt.base import PowerReadError
 from ..rocm.smi import RocmSmiError
@@ -98,11 +97,6 @@ def classify_error(exc: BaseException) -> str:
         severity = FrequencyController._classify(exc)
         return "transient" if severity == "transient" else "permanent"
     if isinstance(exc, (PowerReadError, JobPreempted, TimeoutError)):
-        return "transient"
-    if isinstance(exc, RankDied):
-        # A killed rank worker is the process-backend analogue of a
-        # preempted job: the unit's virtual state is unharmed and a
-        # fresh backend team makes a re-run worthwhile.
         return "transient"
     if isinstance(exc, (OSError, ConnectionError)):
         return "transient"
@@ -202,11 +196,7 @@ def execute_unit(
     that first launched it.
     """
     system = by_name(config["system"])
-    cluster = Cluster(
-        system,
-        int(config["ranks"]),
-        comm_backend=str(config.get("comm_backend", "local")),
-    )
+    cluster = Cluster(system, int(config["ranks"]))
     injector = None
     resilience = None
     restore_from = None

@@ -104,11 +104,7 @@ def _version() -> str:
 
 
 def _run_once(args, policy: FrequencyPolicy, telemetry=None):
-    cluster = Cluster(
-        by_name(args.system),
-        args.ranks,
-        comm_backend=getattr(args, "comm_backend", "local"),
-    )
+    cluster = Cluster(by_name(args.system), args.ranks)
     try:
         result = run_instrumented(
             cluster,
@@ -1264,6 +1260,7 @@ def _profile_smoke(args) -> int:
 
     from .campaign import CampaignSpec, ExecutorConfig, run_campaign
     from .telemetry import (
+        TRACK_JOB,
         TraceCollector,
         critical_path,
         gating_consistent_with_waits,
@@ -1272,6 +1269,7 @@ def _profile_smoke(args) -> int:
     )
     from .telemetry.profile import RANK_PROCESS_SPAN, merged_trace_path
 
+    lanes = 2
     spec = CampaignSpec(
         name="profile-smoke",
         workloads=("SedovBlast",),
@@ -1279,7 +1277,6 @@ def _profile_smoke(args) -> int:
         steps=2,
         ranks=2,
         seeds=(0, 1),
-        comm_backend="process",
     )
     collector = TraceCollector(max_events=100_000)
     context = mint_context(seed="profile-smoke")
@@ -1287,9 +1284,15 @@ def _profile_smoke(args) -> int:
     checks: List[tuple] = []
     with tempfile.TemporaryDirectory(prefix="repro-profile-") as tmp:
         status, store = run_campaign(
-            spec, tmp, config=ExecutorConfig(workers=2), telemetry=collector
+            spec, tmp, config=ExecutorConfig(workers=lanes),
+            telemetry=collector,
         )
         checks.append(("campaign-clean", status.failed == 0))
+        busy_lanes = {
+            s.rank for s in collector.spans(track=TRACK_JOB)
+            if s.args.get("status") == "done"
+        }
+        checks.append(("all-lanes-ran", busy_lanes == set(range(lanes))))
         for unit in spec.expand():
             key = unit.key
             merged = store.has_unit_trace(key)
@@ -1346,7 +1349,7 @@ def _profile_smoke(args) -> int:
         print(f"tracing smoke FAILED: {', '.join(failures)}")
         return 1
     print(
-        f"tracing smoke passed ({spec.ranks} ranks x 2 lanes, "
+        f"tracing smoke passed ({spec.ranks} ranks x {lanes} lanes, "
         f"trace {context.trace_id})"
     )
     return 0
@@ -1578,11 +1581,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time-steps to run")
         p.add_argument("--ranks", type=int, default=1,
                        help="MPI ranks (= GPUs/GCDs)")
-        p.add_argument("--comm-backend", default="local",
-                       choices=("local", "process"), dest="comm_backend",
-                       help="rank execution backend: local (sequential, "
-                       "in-process) or process (one OS process per rank; "
-                       "see docs/parallelism.md)")
 
     run_p = sub.add_parser("run", help="run one instrumented simulation")
     common(run_p)

@@ -1,24 +1,11 @@
 """Deterministic simulated MPI layer (DESIGN.md §2)."""
 
-from .comm import (
-    CommBackend,
-    CommStats,
-    LocalBackend,
-    MpiError,
-    SimComm,
-    make_backend,
-)
-from .proc import ProcessBackend, RankDied
+from .comm import CommStats, MpiError, SimComm
 from .timing import CommModel
 
 __all__ = [
-    "CommBackend",
     "CommStats",
-    "LocalBackend",
     "MpiError",
-    "ProcessBackend",
-    "RankDied",
     "SimComm",
     "CommModel",
-    "make_backend",
 ]

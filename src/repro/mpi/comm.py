@@ -21,7 +21,6 @@ calling conventions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import reduce as _functools_reduce
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -92,7 +91,7 @@ class CommStats:
         self.bytes_moved = float(state["bytes_moved"])
         self.sync_wait_s = float(state["sync_wait_s"])
         self.comm_time_s = float(state["comm_time_s"])
-        # Pre-backend checkpoints carry no per-rank breakdown.
+        # Older checkpoints carry no per-rank breakdown.
         self.rank_wait_s = [float(w) for w in state.get("rank_wait_s", [])]
 
 
@@ -117,67 +116,6 @@ def _payload_bytes(value: Any) -> float:
     return 64.0  # pickled-object fallback
 
 
-class CommBackend:
-    """Execution backend behind a :class:`SimComm`.
-
-    The communicator's *virtual-time* semantics are backend-independent:
-    collectives always advance every participant to max(times) plus the
-    modelled latency. What a backend decides is where rank-local
-    *compute* actually runs — inline in this process (``local``) or on
-    one OS process per rank (``process``, see :mod:`repro.mpi.proc`) —
-    and how modelled device-busy time is paced on the host (serially
-    vs. concurrently).
-    """
-
-    name: str = "backend"
-
-    #: True when rank work executes on separate OS processes.
-    parallel: bool = False
-
-    def pace(self, seconds: Sequence[float]) -> float:
-        """Sleep the modelled per-rank busy times; returns wall slept."""
-        raise NotImplementedError
-
-    def start(self) -> None:
-        """Bring the backend up (spawn workers, map memory). Idempotent."""
-
-    def shutdown(self) -> None:
-        """Tear the backend down. Idempotent; safe to call twice."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class LocalBackend(CommBackend):
-    """Current behaviour: every rank runs sequentially in-process.
-
-    Paced busy times accumulate serially — eight ranks sleeping 100 ms
-    each cost 800 ms of wall clock, exactly the serialization the
-    ``process`` backend removes.
-    """
-
-    name = "local"
-    parallel = False
-
-    def pace(self, seconds: Sequence[float]) -> float:
-        t0 = time.perf_counter()
-        for s in seconds:
-            if s > 0.0:
-                time.sleep(s)
-        return time.perf_counter() - t0
-
-
-def make_backend(name: str, n_ranks: int) -> CommBackend:
-    """Construct a comm backend by name (``local`` or ``process``)."""
-    if name == "local":
-        return LocalBackend()
-    if name == "process":
-        from .proc import ProcessBackend
-
-        return ProcessBackend(n_ranks)
-    raise MpiError(f"unknown comm backend {name!r} (expected local|process)")
-
-
 class SimComm:
     """A simulated communicator over ``size`` ranks.
 
@@ -197,7 +135,6 @@ class SimComm:
         clocks: Sequence[VirtualClock],
         model: Optional[CommModel] = None,
         node_of_rank: Optional[Sequence[int]] = None,
-        backend: Optional[CommBackend] = None,
     ) -> None:
         if not clocks:
             raise MpiError("a communicator needs at least one rank")
@@ -211,7 +148,6 @@ class SimComm:
         if len(self.node_of_rank) != len(self._clocks):
             raise MpiError("node_of_rank must have one entry per rank")
         self.stats = CommStats()
-        self.backend = backend if backend is not None else LocalBackend()
 
     @property
     def size(self) -> int:
@@ -273,9 +209,7 @@ class SimComm:
             nbytes,
             self.model.collective_s(self.size, nbytes, self.multi_node),
         )
-        if op is None:
-            return self._reduce_values(values)
-        return _functools_reduce(op, values)
+        return _functools_reduce(op or _default_sum, values)
 
     def reduce(
         self,
@@ -292,20 +226,7 @@ class SimComm:
             nbytes,
             self.model.collective_s(self.size, nbytes, self.multi_node),
         )
-        if op is None:
-            return self._reduce_values(values)
-        return _functools_reduce(op, values)
-
-    def _reduce_values(self, values: Sequence[Any]) -> Any:
-        """Default-sum reduction; large float64 ndarray payloads go
-        through the backend's shared-memory slice-parallel path (which
-        preserves per-element addition order, so the result is
-        bit-identical to the in-process fold)."""
-        backend = self.backend
-        if backend.parallel and getattr(backend, "can_reduce", None):
-            if backend.can_reduce(values):
-                return backend.reduce_arrays(values)
-        return _functools_reduce(_default_sum, values)
+        return _functools_reduce(op or _default_sum, values)
 
     def bcast(self, value: Any, root: int = 0) -> List[Any]:
         """Broadcast ``value`` from ``root``; returns per-rank copies."""

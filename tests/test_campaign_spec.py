@@ -149,8 +149,9 @@ def test_round_trip_preserves_grid(tmp_path):
 
 
 def test_from_dict_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown campaign spec keys"):
-        CampaignSpec.from_dict({"name": "t", "color": "red"})
+    for extra in ({"color": "red"}, {"comm_backend": "local"}):
+        with pytest.raises(ValueError, match="unknown campaign spec keys"):
+            CampaignSpec.from_dict({"name": "t", **extra})
 
 
 def test_from_dict_rejects_wrong_schema():

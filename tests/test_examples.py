@@ -56,6 +56,10 @@ def test_evrard_collapse(monkeypatch, capsys):
 def test_sedov_blast(monkeypatch, capsys):
     out = _run_example(monkeypatch, capsys, "sedov_blast", ["8", "4"])
     assert "R_analytic" in out
+    out = _run_example(
+        monkeypatch, capsys, "sedov_blast", ["8", "4", "--ranks", "2"]
+    )
+    assert "R_analytic" in out
 
 
 def test_energy_report(monkeypatch, capsys, tmp_path):

