@@ -20,6 +20,7 @@ from repro.checkpoint import (
     write_checkpoint,
 )
 from repro.sph import NumericProblem, Simulation, run_instrumented
+from repro.sph.neighbors import mirror_missing
 from repro.sph.init import SedovConfig, make_sedov, make_sedov_eos
 from repro.systems import Cluster, mini_hpc
 
@@ -227,9 +228,25 @@ def _digest(sim):
     )
 
 
+def _with_legacy_mirror_mask(src, dst):
+    """Copy checkpoint ``src`` to ``dst`` carrying the per-pair
+    ``wide_mirror_absent`` mask that older snapshots stored beside the
+    wide neighbor list."""
+    state = read_checkpoint(src)
+    numeric = state["numeric"]
+    offsets = numeric["wide_offsets"]
+    wide_i = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    numeric["wide_mirror_absent"] = mirror_missing(
+        wide_i, numeric["wide_neighbors"]
+    )
+    write_checkpoint(dst, state)
+    return dst
+
+
 def test_numeric_resume_is_bit_exact_with_verlet_skin(tmp_path):
     """The wide neighbor list survives the snapshot: resumed FP
-    summation order matches the uninterrupted run exactly."""
+    summation order matches the uninterrupted run exactly, also from a
+    snapshot in the older layout."""
     ref = _numeric_sim()
     ref_res = ref.run(6)
 
@@ -249,11 +266,13 @@ def test_numeric_resume_is_bit_exact_with_verlet_skin(tmp_path):
         killed.run(6, checkpoint_every=3, checkpoint_path=ckpt,
                    on_step=kill)
 
-    resumed = _numeric_sim()
-    res = resumed.run(6, restore_from=ckpt)
-    assert res.resumed_from_step == 3
-    assert res.gpu_energy_j == ref_res.gpu_energy_j
-    assert _digest(resumed) == _digest(ref)
+    legacy = _with_legacy_mirror_mask(ckpt, str(tmp_path / "legacy.json"))
+    for snapshot in (ckpt, legacy):
+        resumed = _numeric_sim()
+        res = resumed.run(6, restore_from=snapshot)
+        assert res.resumed_from_step == 3
+        assert res.gpu_energy_j == ref_res.gpu_energy_j
+        assert _digest(resumed) == _digest(ref)
 
 
 def test_run_instrumented_passthrough(tmp_path):
