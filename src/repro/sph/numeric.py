@@ -26,7 +26,7 @@ from .cornerstone import (
 from .eos import IdealGasEOS
 from .geometry import StepGeometry
 from .kernels_math import SmoothingKernel, default_kernel
-from .neighbors import NeighborList, find_neighbors, mirror_missing
+from .neighbors import NeighborList, find_neighbors
 from .particles import ParticleSet
 from .physics import (
     ArtificialViscosity,
@@ -93,7 +93,6 @@ class NumericProblem:
     _gravity_acc: Optional[np.ndarray] = None
     _previous_ranks: Optional[np.ndarray] = None
     _wide_nlist: Optional[NeighborList] = None
-    _wide_mirror_absent: Optional[np.ndarray] = None
     _rebuild_x: Optional[np.ndarray] = None
     _rebuild_y: Optional[np.ndarray] = None
     _rebuild_z: Optional[np.ndarray] = None
@@ -143,54 +142,29 @@ class NumericProblem:
     def find_neighbors(self) -> None:
         """Refresh the neighbor list and the shared step geometry.
 
-        With a positive ``skin`` the cKDTree search is amortized: a
-        wide list at ``(support + skin) * h`` is rebuilt only when the
-        conservative Verlet criterion (see :meth:`_needs_rebuild`) can
-        no longer guarantee it covers the true support, and every step
-        the geometry masks it back to ``r <= support * h_i``.
+        The tree search runs at ``(support + skin) * h``: every step at
+        ``skin == 0``, otherwise only when the conservative Verlet
+        criterion (see :meth:`_needs_rebuild`) can no longer guarantee
+        the kept list covers the true support. Every step the geometry
+        masks it back to ``r <= support * h_i``.
         """
         p = self.particles
         support = self.kernel.support_radius
-        if self.skin > 0.0:
-            if self._wide_nlist is None or self._needs_rebuild():
-                wide = find_neighbors(
-                    p,
-                    support_radius=support + self.skin,
-                    box_size=self.box_size,
-                )
-                self._wide_nlist = wide
-                # The mirror-membership scan depends only on the pair
-                # set, so it too is amortized over the list's lifetime.
-                wide_i = np.repeat(
-                    np.arange(wide.n, dtype=np.int64), wide.counts()
-                )
-                self._wide_mirror_absent = mirror_missing(
-                    wide_i, wide.neighbors
-                )
-                self._rebuild_x = np.copy(p.x)
-                self._rebuild_y = np.copy(p.y)
-                self._rebuild_z = np.copy(p.z)
-                self._rebuild_h = np.copy(p.h)
-                self.neighbor_rebuilds += 1
-            else:
-                self.neighbor_reuses += 1
-            geom = StepGeometry.build(
-                p,
-                self._wide_nlist,
-                box_size=self.box_size,
-                support_radius=support,
-                mirror_absent=self._wide_mirror_absent,
-            )
-        else:
+        if self.skin == 0.0 or self._wide_nlist is None or self._needs_rebuild():
             self._wide_nlist = find_neighbors(
-                p, support_radius=support, box_size=self.box_size
+                p, support_radius=support + self.skin, box_size=self.box_size
             )
+            self._rebuild_x = np.copy(p.x)
+            self._rebuild_y = np.copy(p.y)
+            self._rebuild_z = np.copy(p.z)
+            self._rebuild_h = np.copy(p.h)
             self.neighbor_rebuilds += 1
-            geom = StepGeometry.build(
-                p, self._wide_nlist, box_size=self.box_size
-            )
-        self.geometry = geom
-        self.nlist = geom.nlist
+        else:
+            self.neighbor_reuses += 1
+        self.geometry = StepGeometry.build(
+            p, self._wide_nlist, box_size=self.box_size, support_radius=support
+        )
+        self.nlist = self.geometry.nlist
 
     def _needs_rebuild(self) -> bool:
         """Conservative Verlet-skin invalidation test.
@@ -315,13 +289,14 @@ class NumericProblem:
     def state_dict(self) -> Dict[str, object]:
         """Complete inter-step physics state (raw arrays allowed).
 
-        The wide Verlet-skin neighbor list is serialized *in full*
-        rather than replaced by a rebuild marker: a fresh tree search
-        after restore could order neighbors differently, changing
-        floating-point summation order and breaking bit-exactness at
-        ``skin > 0``. Per-step scratch (``nlist``/``geometry``/
-        ``_gravity_acc``) is rebuilt by the next ``find_neighbors``
-        call, so it is not stored.
+        The wide Verlet-skin neighbor list and its rebuild positions
+        are serialized *in full* rather than replaced by a rebuild
+        marker, so a resumed run rebuilds and reuses on exactly the
+        steps the uninterrupted run does. Per-step scratch (``nlist``/
+        ``geometry``/``_gravity_acc``) is rebuilt by the next
+        ``find_neighbors`` call, so it is not stored. Snapshots from
+        older versions also carry a per-pair mirror mask of the wide
+        list; it is derived data and restore ignores it.
         """
         wide = self._wide_nlist
         return {
@@ -336,7 +311,6 @@ class NumericProblem:
             "previous_ranks": self._previous_ranks,
             "wide_neighbors": None if wide is None else wide.neighbors,
             "wide_offsets": None if wide is None else wide.offsets,
-            "wide_mirror_absent": self._wide_mirror_absent,
             "rebuild_x": self._rebuild_x,
             "rebuild_y": self._rebuild_y,
             "rebuild_z": self._rebuild_z,
@@ -363,7 +337,6 @@ class NumericProblem:
                 neighbors=state["wide_neighbors"],
                 offsets=state["wide_offsets"],
             )
-        self._wide_mirror_absent = state["wide_mirror_absent"]
         self._rebuild_x = state["rebuild_x"]
         self._rebuild_y = state["rebuild_y"]
         self._rebuild_z = state["rebuild_z"]
